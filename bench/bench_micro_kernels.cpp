@@ -16,13 +16,16 @@
 // one; functional: warm weight-resident forward pass, with its speedup
 // over the cycle tier) and the serving path (AlexNet through
 // weight-resident engine sessions at jobs 1 and N, at both fidelities,
-// vs the per-call simulate path), and writes the results as JSON
+// vs the per-call simulate path) and MobileNetV1's conv classes through
+// the functional kernels at B=1 and 8, and writes the results as JSON
 // (default: BENCH_kernels.json in the working directory). --quick drops
 // VGG16 and shortens reps. CI runs the quick mode and diffs against the
 // committed baseline; the diff is informational, not a gate.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -35,6 +38,7 @@
 #include "cbrain/compiler/compiler.hpp"
 #include "cbrain/core/cbrain.hpp"
 #include "cbrain/engine/engine.hpp"
+#include "cbrain/func/kernels.hpp"
 #include "cbrain/model/network_model.hpp"
 #include "cbrain/nn/workload.hpp"
 #include "cbrain/nn/zoo.hpp"
@@ -568,6 +572,112 @@ ServeResult measure_serve_batched(const Network& net, simd::Backend b,
   return r;
 }
 
+// MobileNetV1's conv layers by functional kernel class, timed layer by
+// layer through conv2d_func_batch on live parameters: He-uniform weights
+// (+-sqrt(6/fan_in), drawn as Q7.8 raws) and Q7.8 inputs in [-1, 1].
+// init_net_params' +-1/fan_in weights would round many layers to zero,
+// which changes the pack-time kernel choice. Each rep runs every layer
+// of a class once; the point records the median, min and max of the
+// rep times and the class's MACs per median second.
+struct ConvClassResult {
+  std::string net;
+  std::string cls;
+  std::string backend;
+  i64 b = 1;
+  int reps = 0;
+  double ms_median = 0.0;
+  double ms_min = 0.0;
+  double ms_max = 0.0;
+  double gmac_per_s = 0.0;
+};
+
+// depthwise | pointwise_k_le_128 | pointwise_k_ge_256 | conv1 | "" (none).
+std::string mobilenet_conv_class(const Layer& l) {
+  if (!l.is_conv()) return "";
+  const ConvParams& p = l.conv();
+  if (p.groups > 1) return "depthwise";
+  if (p.k == 1) {
+    if (l.in_dims.d <= 128) return "pointwise_k_le_128";
+    if (l.in_dims.d >= 256) return "pointwise_k_ge_256";
+    return "";
+  }
+  return l.name == "conv1" ? "conv1" : "";
+}
+
+std::vector<ConvClassResult> measure_conv_classes(simd::Backend b, i64 batch,
+                                                  int reps) {
+  simd::select_backend(b);
+  const Network net = zoo::mobilenetv1();
+  struct LayerRun {
+    const Layer* layer;
+    func::PackedLayer packed;
+    std::vector<Tensor3<Fixed16>> in, out;
+    std::vector<const Tensor3<Fixed16>*> in_ptrs;
+    std::vector<Tensor3<Fixed16>*> out_ptrs;
+    double macs;
+  };
+  const char* classes[] = {"depthwise", "pointwise_k_le_128",
+                           "pointwise_k_ge_256", "conv1"};
+  std::vector<ConvClassResult> results;
+  for (const char* cls : classes) {
+    std::vector<LayerRun> runs;
+    Rng rng(0xC0DE);
+    for (const Layer& l : net.layers()) {
+      if (mobilenet_conv_class(l) != cls) continue;
+      const KernelDims wd = l.weight_dims();
+      Tensor4<Fixed16> w(wd);
+      const i64 wb = std::lround(
+          std::sqrt(6.0 / static_cast<double>(wd.din * wd.kh * wd.kw)) *
+          Fixed16::kOne);
+      for (auto& v : w.storage())
+        v = Fixed16::from_raw(static_cast<Fixed16::raw_t>(rng.next_int(-wb, wb)));
+      std::vector<Fixed16> bias(static_cast<std::size_t>(wd.dout));
+      for (auto& v : bias)
+        v = Fixed16::from_raw(static_cast<Fixed16::raw_t>(rng.next_int(-26, 26)));
+      LayerRun r{&l, func::pack_layer(l, w, bias), {}, {}, {}, {}, 0.0};
+      for (i64 i = 0; i < batch; ++i) {
+        r.in.push_back(random_input<Fixed16>(l.in_dims, 77 + static_cast<u64>(i)));
+        r.out.emplace_back(l.out_dims, DataOrder::kSpatialMajor);
+      }
+      for (i64 i = 0; i < batch; ++i) {
+        r.in_ptrs.push_back(&r.in[static_cast<std::size_t>(i)]);
+        r.out_ptrs.push_back(&r.out[static_cast<std::size_t>(i)]);
+      }
+      r.macs = static_cast<double>(l.out_dims.count() * wd.din * wd.kh *
+                                   wd.kw * batch);
+      runs.push_back(std::move(r));
+    }
+    func::GemmScratch scratch;
+    auto pass = [&] {
+      for (LayerRun& r : runs)
+        func::conv2d_func_batch(r.in_ptrs, r.packed, r.layer->conv(),
+                                /*intra_jobs=*/1, scratch, r.out_ptrs);
+    };
+    pass();  // warm: sizes the scratch arena
+    std::vector<double> ms;
+    for (int i = 0; i < reps; ++i) {
+      const Clock::time_point t0 = Clock::now();
+      pass();
+      ms.push_back(seconds_since(t0) * 1e3);
+    }
+    std::sort(ms.begin(), ms.end());
+    ConvClassResult c;
+    c.net = net.name();
+    c.cls = cls;
+    c.backend = simd::backend_name(b);
+    c.b = batch;
+    c.reps = reps;
+    c.ms_median = ms[ms.size() / 2];
+    c.ms_min = ms.front();
+    c.ms_max = ms.back();
+    double macs = 0.0;
+    for (const LayerRun& r : runs) macs += r.macs;
+    c.gmac_per_s = macs / (c.ms_median * 1e-3) * 1e-9;
+    results.push_back(c);
+  }
+  return results;
+}
+
 std::vector<simd::Backend> supported_backends() {
   std::vector<simd::Backend> v;
   for (simd::Backend b :
@@ -700,6 +810,12 @@ int run_perf_harness(const std::string& path, bool quick) {
       serve.push_back(std::move(r));
     }
   }
+  // MobileNetV1 conv classes on the best backend at B=1 and 8.
+  std::vector<ConvClassResult> conv_classes;
+  for (i64 bsz : {1, 8})
+    for (ConvClassResult& c :
+         measure_conv_classes(backends.back(), bsz, quick ? 5 : 11))
+      conv_classes.push_back(std::move(c));
   simd::select_backend(original);
 
   // dot_s16_multi speedup of each vector backend over scalar at the same
@@ -789,6 +905,21 @@ int run_perf_harness(const std::string& path, bool quick) {
     w.end_object();
   }
   w.end_array();
+  w.key("conv_classes").begin_array();
+  for (const ConvClassResult& c : conv_classes) {
+    w.begin_object();
+    w.kv("net", c.net);
+    w.kv("class", c.cls);
+    w.kv("backend", c.backend);
+    w.kv("b", c.b);
+    w.kv("reps", static_cast<i64>(c.reps));
+    w.kv("ms_median", c.ms_median);
+    w.kv("ms_min", c.ms_min);
+    w.kv("ms_max", c.ms_max);
+    w.kv("gmac_per_s", c.gmac_per_s);
+    w.end_object();
+  }
+  w.end_array();
   w.end_object();
 
   std::ofstream f(path);
@@ -799,8 +930,9 @@ int run_perf_harness(const std::string& path, bool quick) {
   }
   f << w.str() << "\n";
   std::printf("wrote %s (%zu kernel points, %zu whole-net runs, "
-              "%zu serve points)\n",
-              path.c_str(), kernels.size(), whole.size(), serve.size());
+              "%zu serve points, %zu conv-class points)\n",
+              path.c_str(), kernels.size(), whole.size(), serve.size(),
+              conv_classes.size());
   for (const KernelResult& k : kernels)
     std::printf("  %-14s %-6s n=%-5lld %8.2f GB/s %12.0f MAC/s\n",
                 k.name.c_str(), k.backend.c_str(),
@@ -829,6 +961,12 @@ int run_perf_harness(const std::string& path, bool quick) {
       std::printf("  (%.2fx vs b=1)", r.speedup_vs_base);
     std::printf("\n");
   }
+  for (const ConvClassResult& c : conv_classes)
+    std::printf("  conv %-11s %-18s %-6s b=%lld %9.3f ms [%.3f, %.3f] "
+                "%7.2f GMAC/s\n",
+                c.net.c_str(), c.cls.c_str(), c.backend.c_str(),
+                static_cast<long long>(c.b), c.ms_median, c.ms_min, c.ms_max,
+                c.gmac_per_s);
   return 0;
 }
 

@@ -94,15 +94,16 @@ std::string FidelityReport::table() const {
      << (outputs_identical ? "bit-identical" : "DIVERGED") << " ("
      << mismatched_words << "/" << total_words << " words differ)\n";
   os << "  " << std::left << std::setw(14) << "layer" << std::setw(9)
-     << "kind" << std::right << std::setw(13) << "sim cycles"
+     << "kind" << std::setw(18) << "kernel" << std::right << std::setw(13)
+     << "sim cycles"
      << std::setw(13) << "model" << std::setw(8) << "err%" << std::setw(12)
      << "sim uJ" << std::setw(12) << "model uJ" << std::setw(8) << "err%"
      << "\n";
   for (const auto& l : layers) {
     os << "  " << std::left << std::setw(14) << l.name << std::setw(9)
-       << layer_kind_name(l.kind) << std::right << std::setw(13)
-       << l.sim_cycles << std::setw(13) << l.model_cycles << std::setw(7)
-       << std::fixed << std::setprecision(2) << 100.0 * l.cycle_rel_err()
+       << layer_kind_name(l.kind) << std::setw(18) << l.kernel << std::right
+       << std::setw(13) << l.sim_cycles << std::setw(13) << l.model_cycles
+       << std::setw(7) << std::fixed << std::setprecision(2) << 100.0 * l.cycle_rel_err()
        << "%" << std::setw(12) << std::setprecision(3) << l.sim_energy_uj
        << std::setw(12) << l.model_energy_uj << std::setw(7)
        << std::setprecision(2) << 100.0 * l.energy_rel_err() << "%\n";
@@ -161,6 +162,7 @@ FidelityReport cross_validate(const Network& net, Policy policy,
     lf.id = l.id;
     lf.name = l.name;
     lf.kind = l.kind;
+    if (const auto k = func.kernel(l.id)) lf.kernel = conv_kernel_name(*k);
     lf.sim_cycles = sc.total_cycles;
     lf.model_cycles = mc.total_cycles;
     lf.sim_energy_uj = compute_energy(sc).total_uj();

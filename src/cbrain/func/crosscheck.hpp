@@ -30,6 +30,9 @@ struct LayerFidelity {
   LayerId id = -1;
   std::string name;
   LayerKind kind = LayerKind::kInput;
+  // Functional-tier kernel chosen at pack time (conv_kernel_name), "-"
+  // for layers without weights.
+  std::string kernel = "-";
   i64 sim_cycles = 0;    // simulator's exact accounting
   i64 model_cycles = 0;  // analytical estimate (what func reports)
   double sim_energy_uj = 0.0;
@@ -63,8 +66,8 @@ struct FidelityReport {
   ErrorAggregate cycle_errors() const;
   ErrorAggregate energy_errors() const;
 
-  // Fig.-style per-layer model-vs-sim error table plus the output
-  // verdict, ready for the CLI.
+  // Fig.-style per-layer model-vs-sim error table (with each layer's
+  // functional kernel) plus the output verdict, ready for the CLI.
   std::string table() const;
 };
 

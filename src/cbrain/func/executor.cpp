@@ -74,30 +74,26 @@ void FuncExecutor::load_params(const NetParamsData<Fixed16>& params) {
   packed_.assign(static_cast<std::size_t>(net_.size()), PackedLayer{});
   for (const Layer& l : net_.layers()) {
     if (!l.is_conv() && !l.is_fc()) continue;
-    const auto idx = static_cast<std::size_t>(l.id);
-    const auto& pdata = params.per_layer[idx];
-    const KernelDims wd = pdata.weights.dims();
-    CBRAIN_CHECK(wd == l.weight_dims(),
-                 "weight dims mismatch for layer " << l.name);
-    // Tensor4 storage is already contiguous (din, ky, kx) rows per output
-    // map — exactly the GEMM row layout — so packing re-types each row
-    // into its zero-padded gemm_row_stride slot (the padding keeps the
-    // multi-RHS kernels out of their scalar remainder loop; padded taps
-    // multiply the matching zero-padded patch tail, contributing 0).
-    PackedLayer& pl = packed_[idx];
-    const i64 dout = l.is_conv() ? l.conv().dout : l.fc().dout;
-    const i64 row_len = wd.count() / dout;
-    const i64 stride = gemm_row_stride(row_len);
-    pl.weights.assign(static_cast<std::size_t>(dout * stride), 0);
-    const Fixed16* w = pdata.weights.raw_data();
-    for (i64 o = 0; o < dout; ++o)
-      for (i64 i = 0; i < row_len; ++i)
-        pl.weights[static_cast<std::size_t>(o * stride + i)] =
-            w[o * row_len + i].raw();
-    pl.mode = classify_weights(pl.weights.data(), dout, stride);
-    pl.bias_acc = promote_bias(pdata.bias, dout);
+    const auto& pdata = params.per_layer[static_cast<std::size_t>(l.id)];
+    packed_[static_cast<std::size_t>(l.id)] =
+        pack_layer(l, pdata.weights, pdata.bias);
   }
+  // Per-kind wall-time counters, resolved once: infer_batch bumps them
+  // for every layer of every call.
+  wall_us_.clear();
+  auto& reg = obs::Registry::global();
+  for (const Layer& l : net_.layers())
+    wall_us_.push_back(
+        &reg.counter(std::string("func.wall_us.") + layer_kind_name(l.kind)));
   params_loaded_ = true;
+}
+
+std::optional<ConvKernel> FuncExecutor::kernel(LayerId id) const {
+  CBRAIN_CHECK(params_loaded_, "load_params before kernel()");
+  CBRAIN_CHECK(id >= 0 && id < net_.size(), "no layer " << id);
+  const Layer& l = net_.layer(id);
+  if (!l.is_conv() && !l.is_fc()) return std::nullopt;
+  return packed_[static_cast<std::size_t>(id)].kernel;
 }
 
 Tensor3<Fixed16>& FuncExecutor::slot(std::size_t layer, std::size_t image,
@@ -190,12 +186,12 @@ std::vector<SimResult> FuncExecutor::infer_batch(
                           *out_ptrs_[static_cast<std::size_t>(i)]);
         break;
       case LayerKind::kConv:
-        conv2d_func_batch(in_ptrs_, pl.weights, pl.bias_acc, l.conv(),
-                          pl.mode, intra_jobs_, scratch_, out_ptrs_);
+        conv2d_func_batch(in_ptrs_, pl, l.conv(), intra_jobs_, scratch_,
+                          out_ptrs_);
         break;
       case LayerKind::kFC:
-        fc_func_batch(in_ptrs_, pl.weights, pl.bias_acc, l.fc(), pl.mode,
-                      intra_jobs_, scratch_, out_ptrs_);
+        fc_func_batch(in_ptrs_, pl, l.fc(), intra_jobs_, scratch_,
+                      out_ptrs_);
         break;
       case LayerKind::kPool:
         // One image: partition planes within it. Several: an image per
@@ -251,10 +247,9 @@ std::vector<SimResult> FuncExecutor::infer_batch(
     }
     // Per-kind host wall time: where the functional tier actually spends
     // its milliseconds, as opposed to the modelled accelerator cycles.
-    reg.counter(std::string("func.wall_us.") + layer_kind_name(l.kind))
-        .inc(std::chrono::duration_cast<std::chrono::microseconds>(
-                 Clock::now() - t0)
-                 .count());
+    wall_us_[idx]->inc(std::chrono::duration_cast<std::chrono::microseconds>(
+                           Clock::now() - t0)
+                           .count());
     for (std::size_t b : active) {
       if (results[b].per_layer.empty())
         results[b].per_layer.resize(static_cast<std::size_t>(net_.size()));

@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "cbrain/common/status.hpp"
@@ -43,6 +44,7 @@
 #include "cbrain/func/fidelity.hpp"
 #include "cbrain/func/kernels.hpp"
 #include "cbrain/model/network_model.hpp"
+#include "cbrain/obs/metrics.hpp"
 #include "cbrain/ref/params.hpp"
 #include "cbrain/sim/executor.hpp"
 
@@ -56,12 +58,16 @@ class FuncExecutor {
   FuncExecutor(const Network& net, const CompiledNetwork& compiled,
                const AcceleratorConfig& config);
 
-  // Packs each conv/FC layer's weights into contiguous int16 GEMM rows,
-  // promotes biases to accumulator scale and classifies each weight
-  // tensor for the fastest admissible multi-RHS kernel. May run again to
-  // hot-swap parameters (engine::Session contract).
+  // Packs each conv/FC layer (func::pack_layer): contiguous int16 rows,
+  // biases at accumulator scale, and the layer's kernel — picked from its
+  // shape and one pass over its weights. May run again to hot-swap
+  // parameters (engine::Session contract).
   void load_params(const NetParamsData<Fixed16>& params);
   bool params_loaded() const { return params_loaded_; }
+
+  // The kernel layer `id` runs on, chosen by the last load_params;
+  // nullopt for layers without weights (pool, LRN, ...).
+  std::optional<ConvKernel> kernel(LayerId id) const;
 
   // Runs one input through the layer graph. Bit-identical final_output
   // and per-layer tensors to SimExecutor::infer on the same (net,
@@ -102,17 +108,6 @@ class FuncExecutor {
   const NetworkModelResult& model() const { return model_; }
 
  private:
-  struct PackedLayer {
-    std::vector<std::int16_t> weights;  // GEMM rows, Tensor4 storage order
-    // Bias promoted to accumulator (Q16.16) scale, zero-padded to dout.
-    std::vector<Fixed16::acc_t> bias_acc;
-    // Fastest multi-RHS kernel tier this weight tensor qualifies for
-    // (deep-window ⊃ no-wrap ⊃ exact preconditions; all bit-identical).
-    // Checked once per pack; a hand-built NetParamsData that fails a
-    // precondition falls back, keeping outputs identical either way.
-    WeightMode mode = WeightMode::kExact;
-  };
-
   // The resident output tensor for (layer, image), reconstructed only on
   // a dims/order change (counted in tensor_growths_).
   Tensor3<Fixed16>& slot(std::size_t layer, std::size_t image,
@@ -122,6 +117,8 @@ class FuncExecutor {
   AcceleratorConfig config_;
   NetworkModelResult model_;
   std::vector<PackedLayer> packed_;  // indexed by LayerId
+  // func.wall_us.<kind> per layer, resolved by load_params.
+  std::vector<obs::Counter*> wall_us_;
   // outputs_[layer][image] — never shrunk, rewritten every batch.
   std::vector<std::vector<Tensor3<Fixed16>>> outputs_;
   GemmScratch scratch_;

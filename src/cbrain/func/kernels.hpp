@@ -4,10 +4,13 @@
 // The cycle-level simulator computes every layer on simulated buffer
 // contents, which is what makes it an oracle and what makes it slow
 // (~1.5 s per AlexNet inference). These kernels compute the *same*
-// fixed-point arithmetic directly on host memory: im2col ("im2row",
-// patch-major) gathers + a blocked GEMM whose inner product is the
-// simd:: multi-RHS dot kernels — with bias promotion and single-point
-// rounding exactly as in ArithTraits<Fixed16>.
+// fixed-point arithmetic directly on host memory — with bias promotion
+// and single-point rounding exactly as in ArithTraits<Fixed16> — on one
+// of three shapes of kernel, picked per layer at pack time (ConvKernel):
+// im2col ("im2row", patch-major) gathers + a blocked GEMM whose inner
+// product is the simd:: multi-RHS dot kernels; the simd depthwise plane
+// kernel; and the simd direct pointwise kernel, which reads the input
+// as it lies in memory.
 //
 // Batched execution: the *_batch entry points run B images of one layer
 // as a single GEMM whose column space is (image, pixel) — each packed
@@ -16,11 +19,13 @@
 // from (FC weights are the extreme case: the whole matrix streams from
 // DRAM once per batch instead of once per request).
 //
-// Bit-exactness: every product is int16*int16 accumulated at int64
-// (Fixed16::acc_t) with no intermediate rounding, so the sum is
-// independent of accumulation order and blocking — identical to
-// conv2d_ref / fc_ref and therefore to the simulator's outputs
-// (tests/test_fidelity.cpp). Zero-padding contributes zero products, so
+// Bit-exactness: every product is int16*int16 accumulated exactly —
+// at int64 (Fixed16::acc_t), or at int32 where a pack-time bound on the
+// filter proves no partial sum can leave int32 — with no intermediate
+// rounding, so the sum is independent of accumulation order and
+// blocking — identical to conv2d_ref / fc_ref and therefore to the
+// simulator's outputs (tests/test_fidelity.cpp,
+// tests/test_conv_kernels.cpp). Zero-padding contributes zero products, so
 // gathering padded zeros into patches changes nothing. Each output
 // element is one exact dot computed entirely by one task, so the batch
 // size, the column blocking and the intra-op job count can never change
@@ -49,44 +54,81 @@
 namespace cbrain::func {
 
 // Which simd multi-RHS kernel a packed weight tensor qualifies for,
-// decided once at pack time (FuncExecutor::load_params):
+// decided once at pack time (pack_layer):
 //   kExact      — full-range fallback, no weight precondition
 //   kNoWrap     — no -32768 weight: pmaddwd pair sums cannot wrap
 //   kDeepWindow — simd::deep_window_ok holds: 32-bit deep accumulation
 // All three produce bit-identical outputs; they differ only in speed.
 enum class WeightMode { kExact = 0, kNoWrap = 1, kDeepWindow = 2 };
 
-const char* weight_mode_name(WeightMode m);
-
 // GEMM row stride for a logical row of `row_len` int16 elements: rounded
 // up to the 16-lane SIMD group so every row the multi-RHS kernels see is
 // an exact vector multiple (the padding is zeros on both operands).
-// Weight packing (FuncExecutor::load_params), the im2row band and the FC
-// activation matrix all use this stride.
+// Weight packing (pack_layer), the im2row band and the FC activation
+// matrix all use this stride.
 inline i64 gemm_row_stride(i64 row_len) { return (row_len + 15) & ~i64{15}; }
 
 // Classifies a packed weight buffer of `rows` GEMM rows of length
-// `row_len` (one pass over the weights; run once per load_params).
+// `row_len` (one pass over the weights; run once per pack).
 WeightMode classify_weights(const std::int16_t* weights, i64 rows,
                             i64 row_len);
 
-// Promotes a bias vector to accumulator (Q16.16) scale, padded with
-// zeros to `dout` entries; adding the promoted bias after the product
-// sum is the same integer as seeding the accumulator with it.
-std::vector<Fixed16::acc_t> promote_bias(const std::vector<Fixed16>& bias,
-                                         i64 dout);
+// The kernel a conv or FC layer runs on, fixed at pack time from the
+// layer's shape and one pass over its weights (DESIGN.md §12):
+//   depthwise (one input and one output map per group)
+//       -> kDepthwiseI32 when every filter meets simd::i32_rows_ok,
+//          else kDepthwiseI64;
+//   pointwise (k == 1, stride 1, pad 0, groups 1) meeting the i32 bound
+//       -> kPointwiseDirect: no im2row, pmaddwd over channel pairs;
+//   everything else, FC layers, and pointwise layers failing the bound
+//       -> im2row + multi-RHS GEMM at the layer's WeightMode tier
+//          (kGemmExact / kGemmNoWrap / kGemmDeepWindow).
+// Every kernel computes the exact integer dot of conv2d_ref / fc_ref, so
+// the choice changes speed only, never an output bit.
+enum class ConvKernel {
+  kGemmExact = 0,
+  kGemmNoWrap = 1,
+  kGemmDeepWindow = 2,
+  kDepthwiseI32 = 3,
+  kDepthwiseI64 = 4,
+  kPointwiseDirect = 5,
+};
 
-// Reusable GEMM scratch, owned by the executor (one per session, sized
-// on first use, then stable): the im2row patch matrix and the batched FC
-// activation matrix. `growths` counts reallocation events — zero in the
-// steady state, which tests/test_batch.cpp asserts.
+const char* conv_kernel_name(ConvKernel k);
+
+// One conv/FC layer's parameters in kernel-ready form.
+struct PackedLayer {
+  // Rows laid out (din, ky, kx) — the Tensor4 storage order — at
+  // gemm_row_stride(row_len), zero-padded. Every kernel reads this one
+  // layout.
+  std::vector<std::int16_t> weights;
+  // Bias promoted to accumulator (Q16.16) scale: adding it after the
+  // product sum is the same integer as seeding the accumulator with it.
+  std::vector<Fixed16::acc_t> bias_acc;
+  ConvKernel kernel = ConvKernel::kGemmExact;
+};
+
+// Packs layer `l` (conv or FC) and picks its kernel. `weights` must have
+// l.weight_dims(); `bias` is empty or holds one value per output map.
+PackedLayer pack_layer(const Layer& l, const Tensor4<Fixed16>& weights,
+                       const std::vector<Fixed16>& bias);
+
+// Reusable scratch, owned by the executor (one per session, sized on
+// first use, then stable): the im2row patch matrix, the batched FC
+// activation matrix, the pointwise kernel's channel-pair rows and the
+// depthwise kernel's per-column tap ranges. `growths` counts reallocation
+// events — zero in the steady state, which tests/test_batch.cpp asserts.
 struct GemmScratch {
   std::vector<std::int16_t> band;
   std::vector<std::int16_t> flat;
+  std::vector<std::int16_t> pairs;
+  std::vector<i64> taps;
   i64 growths = 0;
 
   std::int16_t* ensure_band(i64 elems);
   std::int16_t* ensure_flat(i64 elems);
+  std::int16_t* ensure_pairs(i64 elems);
+  i64* ensure_taps(i64 elems);
 };
 
 // Patch-major im2col for a band of output pixels [pix0, pix0+npix) of one
@@ -100,19 +142,18 @@ void im2row_s16(const Tensor3<Fixed16>& input, i64 din_begin, i64 din_count,
                 const ConvParams& p, i64 pix0, i64 npix,
                 std::int16_t* patches, i64 patch_stride);
 
-// Batched convolution via im2row + blocked multi-RHS GEMM. All inputs
-// share one shape; `outputs[b]` must be pre-shaped {dout, oh, ow}
-// spatial-major (the executor keeps them resident across inferences).
-// `bias_acc` is promote_bias()'s output (size dout). With intra_jobs > 1
-// the output-row chunks (and the im2row gather) are partitioned over
+// Batched convolution on the layer's packed kernel (pack_layer): the
+// depthwise plane kernel, the direct pointwise kernel, or im2row +
+// blocked multi-RHS GEMM. All inputs share one shape; `outputs[b]` must
+// be pre-shaped {dout, oh, ow} spatial-major (the executor keeps them
+// resident across inferences). With intra_jobs > 1 the output-row chunks
+// (or depthwise planes, and the gathers) are partitioned over
 // cbrain::parallel — each output element is still one exact dot computed
 // by one task, so results are bit-identical at any intra_jobs and batch
 // size. Allocates nothing beyond `scratch` growth.
 void conv2d_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
-                       const std::vector<std::int16_t>& packed_weights,
-                       const std::vector<Fixed16::acc_t>& bias_acc,
-                       const ConvParams& p, WeightMode mode, i64 intra_jobs,
-                       GemmScratch& scratch,
+                       const PackedLayer& packed, const ConvParams& p,
+                       i64 intra_jobs, GemmScratch& scratch,
                        const std::vector<Tensor3<Fixed16>*>& outputs);
 
 // Batched residual join: out[i] = finalize(a[i] + b[i]) at accumulator
@@ -131,23 +172,8 @@ void eltwise_add_func_batch(const std::vector<const Tensor3<Fixed16>*>& a,
 // column block of images instead of once per image. Same contracts as
 // conv2d_func_batch; outputs[b] must be pre-shaped {dout, 1, 1}.
 void fc_func_batch(const std::vector<const Tensor3<Fixed16>*>& inputs,
-                   const std::vector<std::int16_t>& packed_weights,
-                   const std::vector<Fixed16::acc_t>& bias_acc,
-                   const FCParams& p, WeightMode mode, i64 intra_jobs,
-                   GemmScratch& scratch,
+                   const PackedLayer& packed, const FCParams& p,
+                   i64 intra_jobs, GemmScratch& scratch,
                    const std::vector<Tensor3<Fixed16>*>& outputs);
-
-// Single-image wrappers (historical surface; tests and the reference
-// cross-checks use these). `no_wrap_weights` asserts the weight buffer
-// contains no -32768, selecting WeightMode::kNoWrap.
-Tensor3<Fixed16> conv2d_func(const Tensor3<Fixed16>& input,
-                             const std::vector<std::int16_t>& packed_weights,
-                             const std::vector<Fixed16>& bias,
-                             const ConvParams& p, bool no_wrap_weights = false);
-
-Tensor3<Fixed16> fc_func(const Tensor3<Fixed16>& input,
-                         const std::vector<std::int16_t>& packed_weights,
-                         const std::vector<Fixed16>& bias, const FCParams& p,
-                         bool no_wrap_weights = false);
 
 }  // namespace cbrain::func

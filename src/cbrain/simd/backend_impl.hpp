@@ -8,6 +8,8 @@
 
 #include <cstdint>
 
+#include "cbrain/simd/conv_geometry.hpp"
+
 namespace cbrain::simd::detail {
 
 struct KernelTable {
@@ -31,6 +33,12 @@ struct KernelTable {
   void (*dot_s16_mrhs_dw)(const std::int16_t*, std::int64_t, std::int64_t,
                           const std::int16_t*, std::int64_t, std::int64_t,
                           std::int64_t, std::int64_t*, std::int64_t);
+  void (*dwconv_s16)(const std::int16_t*, const DwGeometry&,
+                     const std::int16_t*, std::int64_t, bool, std::int16_t*);
+  void (*pwconv_s16)(const std::int16_t*, std::int64_t, std::int64_t,
+                     std::int64_t, const std::int16_t*, std::int64_t,
+                     std::int64_t, const std::int64_t*, bool, std::int16_t*,
+                     std::int64_t);
   void (*add_sat_s16)(const std::int16_t*, const std::int16_t*,
                       std::int16_t*, std::int64_t);
   void (*relu_s16)(const std::int16_t*, std::int16_t*, std::int64_t);

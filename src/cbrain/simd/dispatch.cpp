@@ -230,6 +230,43 @@ bool deep_window_ok(const std::int16_t* weights, i64 row_stride, i64 rows,
   return true;
 }
 
+// The direct kernels hard-code the Q7.8 requantization (a 2^8 rescale).
+static_assert(Fixed16::kFracBits == 8,
+              "direct conv kernels requantize by 2^8 (conv_loops.hpp)");
+
+bool i32_rows_ok(const std::int16_t* weights, i64 row_stride, i64 rows,
+                 i64 n) {
+  // 32768 * sum|w| <= 2^31 - 1  <=>  sum|w| <= 65535.
+  constexpr i64 kRowBound = (i64{1} << 31) / 32768 - 1;
+  for (i64 l = 0; l < rows; ++l) {
+    const std::int16_t* row = weights + l * row_stride;
+    i64 sum = 0;
+    for (i64 i = 0; i < n; ++i) sum += row[i] < 0 ? -i64{row[i]} : row[i];
+    if (sum > kRowBound) return false;
+  }
+  return true;
+}
+
+void dwconv_s16(const std::int16_t* in, const DwGeometry& g,
+                const std::int16_t* w, Fixed16::acc_t bias, bool relu,
+                std::int16_t* out) {
+  table()->dwconv_s16(in, g, w, bias, relu, out);
+}
+
+void dwconv_s16_wide(const std::int16_t* in, const DwGeometry& g,
+                     const std::int16_t* w, Fixed16::acc_t bias, bool relu,
+                     std::int16_t* out) {
+  detail::scalar_table()->dwconv_s16(in, g, w, bias, relu, out);
+}
+
+void pwconv_s16(const std::int16_t* xpairs, i64 pair_stride, i64 cols,
+                i64 kpairs, const std::int16_t* weights, i64 row_stride,
+                i64 rows, const Fixed16::acc_t* bias, bool relu,
+                std::int16_t* out, i64 out_stride) {
+  table()->pwconv_s16(xpairs, pair_stride, cols, kpairs, weights, row_stride,
+                      rows, bias, relu, out, out_stride);
+}
+
 void add_sat_s16(const std::int16_t* a, const std::int16_t* b,
                  std::int16_t* out, i64 n) {
   table()->add_sat_s16(a, b, out, n);

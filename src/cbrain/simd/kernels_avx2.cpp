@@ -16,6 +16,10 @@
 
 #include <immintrin.h>
 
+#include <cstring>
+
+#include "cbrain/simd/conv_loops.hpp"
+
 namespace cbrain::simd::detail {
 namespace {
 
@@ -339,6 +343,181 @@ void dot_s16_mrhs_dw(const int16_t* data, int64_t data_stride, int64_t cols,
   }
 }
 
+// --- direct convolution kernels ----------------------------------------
+// Both run under the caller's i32 bound (simd.hpp: 32768 * sum|w| per
+// filter < 2^31), so every partial sum — including each pmaddwd pair —
+// is exact in an int32 lane.
+
+// The requantization of conv_loops.hpp's requant_s16 on eight int32
+// accumulators at once, before the int16 pack. |bias| <= 2^23 (one
+// promoted Q7.8 value), so clamping the accumulator to +-2^30 first keeps
+// acc + bias inside int32 without changing any result: every value that
+// far out saturates to the same int16 extreme either way.
+inline __m256i requant_i32x8(__m256i acc, __m256i bias) {
+  const __m256i lim = _mm256_set1_epi32(1 << 30);
+  acc = _mm256_min_epi32(
+      _mm256_max_epi32(acc, _mm256_sub_epi32(_mm256_setzero_si256(), lim)),
+      lim);
+  const __m256i v = _mm256_add_epi32(acc, bias);
+  const __m256i q = _mm256_srli_epi32(
+      _mm256_add_epi32(_mm256_abs_epi32(v), _mm256_set1_epi32(128)), 8);
+  return _mm256_sign_epi32(q, v);  // round half away from zero
+}
+
+// Saturating pack of two requantized vectors to 16 int16 in column order
+// (packs works per 128-bit lane; the permute restores the order).
+inline __m256i pack_i16x16(__m256i a, __m256i b, bool relu) {
+  __m256i p = _mm256_permute4x64_epi64(_mm256_packs_epi32(a, b), 0xD8);
+  if (relu) p = _mm256_max_epi16(p, _mm256_setzero_si256());
+  return p;
+}
+
+// Stores the first m (< 16) outputs of two accumulator vectors.
+inline void store_partial(int16_t* dst, __m256i a, __m256i b, __m256i bias,
+                          bool relu, int64_t m) {
+  alignas(32) int16_t tmp[16];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(tmp),
+                     pack_i16x16(requant_i32x8(a, bias),
+                                 requant_i32x8(b, bias), relu));
+  std::memcpy(dst, tmp, static_cast<std::size_t>(m) * sizeof(int16_t));
+}
+
+// A tap weight as the pmaddwd multiplier (w, 0): against a lane holding
+// (x, anything) the pair sum is exactly x * w.
+inline __m256i tap_weight(int16_t w) {
+  return _mm256_set1_epi32(static_cast<int32_t>(static_cast<uint16_t>(w)));
+}
+
+// NV*8 output columns starting at ox over the window's n tap rows, all
+// accumulators in registers. Stride 1 widens 8 inputs per vector; stride
+// 2 loads 16 and lets the (w, 0) multiplier drop the odd ones.
+template <int S, int NV>
+inline void dw_block(const int16_t* const* taps, const int16_t* const* wrows,
+                     int64_t n, const DwGeometry& g, int64_t ox,
+                     __m256i (&acc)[NV]) {
+  for (int v = 0; v < NV; ++v) acc[v] = _mm256_setzero_si256();
+  for (int64_t r = 0; r < n; ++r) {
+    const int16_t* row = taps[r] + ox * S;
+    for (int64_t kx = 0; kx < g.k; ++kx) {
+      const __m256i wv = tap_weight(wrows[r][kx]);
+      const int16_t* src = row + kx * g.dilation;
+      for (int v = 0; v < NV; ++v) {
+        const __m256i x =
+            S == 1 ? _mm256_cvtepi16_epi32(_mm_loadu_si128(
+                         reinterpret_cast<const __m128i*>(src + 8 * v)))
+                   : _mm256_loadu_si256(
+                         reinterpret_cast<const __m256i*>(src + 16 * v));
+        acc[v] = _mm256_add_epi32(acc[v], _mm256_madd_epi16(x, wv));
+      }
+    }
+  }
+}
+
+// One output row: 16-column blocks, then 8-column blocks, the last one
+// stored only as far as out_w.
+template <int S>
+void dw_row_avx2(const int16_t* const* taps, const int16_t* const* wrows,
+                 int64_t n, const DwGeometry& g, __m256i vbias, bool relu,
+                 int16_t* orow) {
+  int64_t ox = 0;
+  for (; ox + 16 <= g.out_w; ox += 16) {
+    __m256i acc[2];
+    dw_block<S, 2>(taps, wrows, n, g, ox, acc);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(orow + ox),
+                        pack_i16x16(requant_i32x8(acc[0], vbias),
+                                    requant_i32x8(acc[1], vbias), relu));
+  }
+  for (; ox < g.out_w; ox += 8) {
+    __m256i acc[1];
+    dw_block<S, 1>(taps, wrows, n, g, ox, acc);
+    if (ox + 8 <= g.out_w) {
+      const __m256i r = requant_i32x8(acc[0], vbias);
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(orow + ox),
+                       _mm256_castsi256_si128(pack_i16x16(r, r, relu)));
+    } else {
+      store_partial(orow + ox, acc[0], acc[0], vbias, relu, g.out_w - ox);
+    }
+  }
+}
+
+void dwconv_s16(const int16_t* in, const DwGeometry& g, const int16_t* w,
+                int64_t bias, bool relu, int16_t* out) {
+  const __m256i vbias = _mm256_set1_epi32(static_cast<int32_t>(bias));
+  auto row = [&](const int16_t* const* taps, const int16_t* const* wrows,
+                 int64_t n, int16_t* orow) {
+    if (g.stride == 1)
+      dw_row_avx2<1>(taps, wrows, n, g, vbias, relu, orow);
+    else
+      dw_row_avx2<2>(taps, wrows, n, g, vbias, relu, orow);
+  };
+  if (g.stride > 2 || !dw_window(in, g, w, out, 8, row))
+    dw_plane_clipped<int32_t>(in, g, w, bias, relu, out);
+}
+
+// Register tile of the pointwise kernel: kPwRows filter rows x NV*8
+// columns, all accumulators in registers across the whole channel-pair
+// loop. Per pair: NV data loads, kPwRows weight-pair broadcasts and
+// kPwRows*NV pmaddwd + add — no widening at all.
+constexpr int kPwRows = 4;
+
+template <int NV>
+inline void pw_tile(const int16_t* xp, int64_t pair_stride, int64_t kpairs,
+                    const int16_t* const* w, __m256i (&acc)[kPwRows][NV]) {
+  for (int j = 0; j < kPwRows; ++j)
+    for (int v = 0; v < NV; ++v) acc[j][v] = _mm256_setzero_si256();
+  for (int64_t p = 0; p < kpairs; ++p) {
+    const int16_t* x = xp + p * pair_stride;
+    __m256i d[NV];
+    for (int v = 0; v < NV; ++v)
+      d[v] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + 16 * v));
+    for (int j = 0; j < kPwRows; ++j) {
+      int32_t pair;
+      std::memcpy(&pair, w[j] + 2 * p, sizeof(pair));
+      const __m256i wv = _mm256_set1_epi32(pair);
+      for (int v = 0; v < NV; ++v)
+        acc[j][v] = _mm256_add_epi32(acc[j][v], _mm256_madd_epi16(d[v], wv));
+    }
+  }
+}
+
+void pwconv_s16(const int16_t* xpairs, int64_t pair_stride, int64_t cols,
+                int64_t kpairs, const int16_t* weights, int64_t row_stride,
+                int64_t rows, const int64_t* bias, bool relu, int16_t* out,
+                int64_t out_stride) {
+  for (int64_t l0 = 0; l0 < rows; l0 += kPwRows) {
+    const int64_t nr = rows - l0 < kPwRows ? rows - l0 : kPwRows;
+    // A short last row group recomputes its final row in the spare
+    // slots and stores nothing from them.
+    const int16_t* w[kPwRows];
+    __m256i vbias[kPwRows];
+    for (int j = 0; j < kPwRows; ++j) {
+      const int64_t l = l0 + (j < nr ? j : nr - 1);
+      w[j] = weights + l * row_stride;
+      vbias[j] = _mm256_set1_epi32(static_cast<int32_t>(bias[l]));
+    }
+    int64_t c = 0;
+    for (; c + 16 <= cols; c += 16) {
+      __m256i acc[kPwRows][2];
+      pw_tile<2>(xpairs + 2 * c, pair_stride, kpairs, w, acc);
+      for (int64_t j = 0; j < nr; ++j)
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i*>(out + (l0 + j) * out_stride + c),
+            pack_i16x16(requant_i32x8(acc[j][0], vbias[j]),
+                        requant_i32x8(acc[j][1], vbias[j]), relu));
+    }
+    // Tail: 8-column tiles over the zero-padded pair rows, storing only
+    // the columns that exist.
+    for (; c < cols; c += 8) {
+      __m256i acc[kPwRows][1];
+      pw_tile<1>(xpairs + 2 * c, pair_stride, kpairs, w, acc);
+      const int64_t m = cols - c < 8 ? cols - c : 8;
+      for (int64_t j = 0; j < nr; ++j)
+        store_partial(out + (l0 + j) * out_stride + c, acc[j][0], acc[j][0],
+                      vbias[j], relu, m);
+    }
+  }
+}
+
 void add_sat_s16(const int16_t* a, const int16_t* b, int16_t* out,
                  int64_t n) {
   int64_t i = 0;
@@ -397,6 +576,7 @@ void axpy_f32(float a, const float* x, float* y, int64_t n) {
 constexpr KernelTable kTable = {
     dot_s16,       dot_s16_multi,   dot_s16_multi_acc, dot_s16_multi_nw,
     dot_s16_mrhs,  dot_s16_mrhs_nw, dot_s16_mrhs_dw,
+    dwconv_s16,    pwconv_s16,
     add_sat_s16,   relu_s16,        max_s16,           axpy_f32,
 };
 

@@ -3,6 +3,7 @@
 // optimizer can still auto-vectorize where legal; correctness never
 // depends on that.
 #include "cbrain/simd/backend_impl.hpp"
+#include "cbrain/simd/conv_loops.hpp"
 
 namespace cbrain::simd::detail {
 namespace {
@@ -40,6 +41,39 @@ void s_dot_s16_mrhs(const int16_t* data, int64_t data_stride, int64_t cols,
           s_dot_s16(data + c * data_stride, weights + l * row_stride, n);
 }
 
+// Depthwise plane on the portable clipped path at int64: exact for every
+// input, so the scalar entry doubles as the wide (no weight bound)
+// depthwise kernel.
+void s_dwconv_s16(const int16_t* in, const DwGeometry& g, const int16_t* w,
+                  int64_t bias, bool relu, int16_t* out) {
+  dw_plane_clipped<int64_t>(in, g, w, bias, relu, out);
+}
+
+// Pointwise rows over channel-pair-interleaved columns, at int64 (exact
+// for every input). Columns go in blocks so the pair rows stream.
+void s_pwconv_s16(const int16_t* xpairs, int64_t pair_stride, int64_t cols,
+                  int64_t kpairs, const int16_t* weights, int64_t row_stride,
+                  int64_t rows, const int64_t* bias, bool relu, int16_t* out,
+                  int64_t out_stride) {
+  constexpr int64_t kBlock = 64;
+  int64_t acc[kBlock];
+  for (int64_t l = 0; l < rows; ++l) {
+    const int16_t* w = weights + l * row_stride;
+    for (int64_t c0 = 0; c0 < cols; c0 += kBlock) {
+      const int64_t m = cols - c0 < kBlock ? cols - c0 : kBlock;
+      for (int64_t i = 0; i < m; ++i) acc[i] = 0;
+      for (int64_t p = 0; p < kpairs; ++p) {
+        const int16_t* x = xpairs + p * pair_stride + 2 * c0;
+        const int64_t w0 = w[2 * p], w1 = w[2 * p + 1];
+        for (int64_t i = 0; i < m; ++i)
+          acc[i] += w0 * x[2 * i] + w1 * x[2 * i + 1];
+      }
+      for (int64_t i = 0; i < m; ++i)
+        out[l * out_stride + c0 + i] = requant_s16(acc[i] + bias[l], relu);
+    }
+  }
+}
+
 void s_add_sat_s16(const int16_t* a, const int16_t* b, int16_t* out,
                    int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
@@ -69,6 +103,7 @@ constexpr KernelTable kTable = {
     // multi-RHS slots likewise.
     s_dot_s16_multi,
     s_dot_s16_mrhs, s_dot_s16_mrhs, s_dot_s16_mrhs,
+    s_dwconv_s16,  s_pwconv_s16,
     s_add_sat_s16, s_relu_s16,      s_max_s16,           s_axpy_f32,
 };
 

@@ -15,6 +15,10 @@
 
 #include <emmintrin.h>
 
+#include <cstring>
+
+#include "cbrain/simd/conv_loops.hpp"
+
 namespace cbrain::simd::detail {
 namespace {
 
@@ -125,6 +129,166 @@ void dot_s16_mrhs_nw(const int16_t* data, int64_t data_stride, int64_t cols,
           dot_s16_nw(data + c * data_stride, weights + l * row_stride, n);
 }
 
+// --- direct convolution kernels (see the AVX2 twin) ----------------------
+// Under the caller's i32 bound every pmaddwd pair and partial sum is
+// exact in int32. SSE2 lacks pminsd/pmaxsd/pabsd/psignd, so the clamp and
+// the sign handling of the requantization are spelled out.
+
+inline __m128i select(__m128i mask, __m128i a, __m128i b) {
+  return _mm_or_si128(_mm_and_si128(mask, a), _mm_andnot_si128(mask, b));
+}
+
+// requant_s16 on four int32 accumulators (|bias| <= 2^23; the +-2^30
+// clamp keeps acc + bias in int32 without changing a result).
+inline __m128i requant_i32x4(__m128i acc, __m128i bias) {
+  const __m128i hi = _mm_set1_epi32(1 << 30);
+  const __m128i lo = _mm_sub_epi32(_mm_setzero_si128(), hi);
+  acc = select(_mm_cmpgt_epi32(acc, hi), hi, acc);
+  acc = select(_mm_cmplt_epi32(acc, lo), lo, acc);
+  const __m128i v = _mm_add_epi32(acc, bias);
+  const __m128i sign = _mm_srai_epi32(v, 31);
+  const __m128i mag = _mm_sub_epi32(_mm_xor_si128(v, sign), sign);
+  const __m128i q =
+      _mm_srli_epi32(_mm_add_epi32(mag, _mm_set1_epi32(128)), 8);
+  return _mm_sub_epi32(_mm_xor_si128(q, sign), sign);
+}
+
+inline __m128i pack_i16x8(__m128i a, __m128i b, bool relu) {
+  __m128i p = _mm_packs_epi32(a, b);
+  if (relu) p = _mm_max_epi16(p, _mm_setzero_si128());
+  return p;
+}
+
+inline __m128i tap_weight(int16_t w) {
+  return _mm_set1_epi32(static_cast<int32_t>(static_cast<uint16_t>(w)));
+}
+
+// NV*4 output columns starting at ox over the window's n tap rows, all
+// accumulators in registers (see the AVX2 twin). Stride 1 duplicates
+// each input into both halves of a pair, (x, x) . (w, 0) = x * w;
+// stride 2 loads 8 inputs and the (w, 0) multiplier drops the odd ones.
+template <int S, int NV>
+inline void dw_block(const int16_t* const* taps, const int16_t* const* wrows,
+                     int64_t n, const DwGeometry& g, int64_t ox,
+                     __m128i (&acc)[NV]) {
+  for (int v = 0; v < NV; ++v) acc[v] = _mm_setzero_si128();
+  for (int64_t r = 0; r < n; ++r) {
+    const int16_t* row = taps[r] + ox * S;
+    for (int64_t kx = 0; kx < g.k; ++kx) {
+      const __m128i wv = tap_weight(wrows[r][kx]);
+      const int16_t* src = row + kx * g.dilation;
+      for (int v = 0; v < NV; ++v) {
+        __m128i x;
+        if (S == 1) {
+          x = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(src + 4 * v));
+          x = _mm_unpacklo_epi16(x, x);
+        } else {
+          x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + 8 * v));
+        }
+        acc[v] = _mm_add_epi32(acc[v], _mm_madd_epi16(x, wv));
+      }
+    }
+  }
+}
+
+template <int S>
+void dw_row_sse2(const int16_t* const* taps, const int16_t* const* wrows,
+                 int64_t n, const DwGeometry& g, __m128i vbias, bool relu,
+                 int16_t* orow) {
+  int64_t ox = 0;
+  for (; ox + 8 <= g.out_w; ox += 8) {
+    __m128i acc[2];
+    dw_block<S, 2>(taps, wrows, n, g, ox, acc);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(orow + ox),
+                     pack_i16x8(requant_i32x4(acc[0], vbias),
+                                requant_i32x4(acc[1], vbias), relu));
+  }
+  for (; ox < g.out_w; ox += 4) {
+    __m128i acc[1];
+    dw_block<S, 1>(taps, wrows, n, g, ox, acc);
+    const __m128i r = requant_i32x4(acc[0], vbias);
+    alignas(16) int16_t tmp[8];
+    _mm_store_si128(reinterpret_cast<__m128i*>(tmp), pack_i16x8(r, r, relu));
+    const int64_t m = g.out_w - ox < 4 ? g.out_w - ox : 4;
+    std::memcpy(orow + ox, tmp, static_cast<std::size_t>(m) * sizeof(int16_t));
+  }
+}
+
+void dwconv_s16(const int16_t* in, const DwGeometry& g, const int16_t* w,
+                int64_t bias, bool relu, int16_t* out) {
+  const __m128i vbias = _mm_set1_epi32(static_cast<int32_t>(bias));
+  auto row = [&](const int16_t* const* taps, const int16_t* const* wrows,
+                 int64_t n, int16_t* orow) {
+    if (g.stride == 1)
+      dw_row_sse2<1>(taps, wrows, n, g, vbias, relu, orow);
+    else
+      dw_row_sse2<2>(taps, wrows, n, g, vbias, relu, orow);
+  };
+  if (g.stride > 2 || !dw_window(in, g, w, out, 4, row))
+    dw_plane_clipped<int32_t>(in, g, w, bias, relu, out);
+}
+
+constexpr int kPwRows = 4;
+
+template <int NV>
+inline void pw_tile(const int16_t* xp, int64_t pair_stride, int64_t kpairs,
+                    const int16_t* const* w, __m128i (&acc)[kPwRows][NV]) {
+  for (int j = 0; j < kPwRows; ++j)
+    for (int v = 0; v < NV; ++v) acc[j][v] = _mm_setzero_si128();
+  for (int64_t p = 0; p < kpairs; ++p) {
+    const int16_t* x = xp + p * pair_stride;
+    __m128i d[NV];
+    for (int v = 0; v < NV; ++v)
+      d[v] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + 8 * v));
+    for (int j = 0; j < kPwRows; ++j) {
+      int32_t pair;
+      std::memcpy(&pair, w[j] + 2 * p, sizeof(pair));
+      const __m128i wv = _mm_set1_epi32(pair);
+      for (int v = 0; v < NV; ++v)
+        acc[j][v] = _mm_add_epi32(acc[j][v], _mm_madd_epi16(d[v], wv));
+    }
+  }
+}
+
+void pwconv_s16(const int16_t* xpairs, int64_t pair_stride, int64_t cols,
+                int64_t kpairs, const int16_t* weights, int64_t row_stride,
+                int64_t rows, const int64_t* bias, bool relu, int16_t* out,
+                int64_t out_stride) {
+  for (int64_t l0 = 0; l0 < rows; l0 += kPwRows) {
+    const int64_t nr = rows - l0 < kPwRows ? rows - l0 : kPwRows;
+    const int16_t* w[kPwRows];
+    __m128i vbias[kPwRows];
+    for (int j = 0; j < kPwRows; ++j) {
+      const int64_t l = l0 + (j < nr ? j : nr - 1);
+      w[j] = weights + l * row_stride;
+      vbias[j] = _mm_set1_epi32(static_cast<int32_t>(bias[l]));
+    }
+    int64_t c = 0;
+    for (; c + 8 <= cols; c += 8) {
+      __m128i acc[kPwRows][2];
+      pw_tile<2>(xpairs + 2 * c, pair_stride, kpairs, w, acc);
+      for (int64_t j = 0; j < nr; ++j)
+        _mm_storeu_si128(
+            reinterpret_cast<__m128i*>(out + (l0 + j) * out_stride + c),
+            pack_i16x8(requant_i32x4(acc[j][0], vbias[j]),
+                       requant_i32x4(acc[j][1], vbias[j]), relu));
+    }
+    for (; c < cols; c += 4) {
+      __m128i acc[kPwRows][1];
+      pw_tile<1>(xpairs + 2 * c, pair_stride, kpairs, w, acc);
+      const int64_t m = cols - c < 4 ? cols - c : 4;
+      for (int64_t j = 0; j < nr; ++j) {
+        alignas(16) int16_t tmp[8];
+        const __m128i r = requant_i32x4(acc[j][0], vbias[j]);
+        _mm_store_si128(reinterpret_cast<__m128i*>(tmp),
+                        pack_i16x8(r, r, relu));
+        std::memcpy(out + (l0 + j) * out_stride + c, tmp,
+                    static_cast<std::size_t>(m) * sizeof(int16_t));
+      }
+    }
+  }
+}
+
 void add_sat_s16(const int16_t* a, const int16_t* b, int16_t* out,
                  int64_t n) {
   int64_t i = 0;
@@ -187,6 +351,7 @@ void axpy_f32(float a, const float* x, float* y, int64_t n) {
 constexpr KernelTable kTable = {
     dot_s16,       dot_s16_multi,   dot_s16_multi_acc, dot_s16_multi_nw,
     dot_s16_mrhs,  dot_s16_mrhs_nw, dot_s16_mrhs_nw,
+    dwconv_s16,    pwconv_s16,
     add_sat_s16,   relu_s16,        max_s16,           axpy_f32,
 };
 

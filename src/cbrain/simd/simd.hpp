@@ -39,6 +39,7 @@
 
 #include "cbrain/common/math_util.hpp"
 #include "cbrain/fixed/fixed16.hpp"
+#include "cbrain/simd/conv_geometry.hpp"
 
 namespace cbrain::simd {
 
@@ -151,6 +152,57 @@ void dot_s16_mrhs_dw(const std::int16_t* data, i64 data_stride, i64 cols,
 // pmaddwd pair wrap, so deep-window-safe weights are no-wrap-safe too.
 bool deep_window_ok(const std::int16_t* weights, i64 row_stride, i64 rows,
                     i64 n);
+
+// --- direct convolution kernels ------------------------------------------
+// The functional tier's shape-specialized conv paths (DESIGN.md §12).
+// Unlike the dot kernels they finish the output themselves: each output
+// element is the exact integer dot of its taps plus `bias` (one promoted
+// Q7.8 value, |bias| <= 2^23), requantized exactly as
+// ArithTraits<Fixed16>::finalize does (round half away from zero,
+// saturate, optional ReLU) — so results equal conv2d_ref bit for bit.
+//
+// The vector backends accumulate in int32 lanes. That is exact under the
+// i32 bound, checked once per packed filter by i32_rows_ok():
+//
+//   32768 * sum_i |w_i| <= 2^31 - 1        (per filter row)
+//
+// With every input at the int16 magnitude extreme, no partial sum — and
+// no pmaddwd pair sum, which the bound also keeps below the (-32768)^2
+// pair wrap — can leave int32. Filters that fail the bound take the
+// *_wide depthwise entry or the GEMM path instead.
+
+// True when every one of `rows` filter rows (length n, row_stride apart)
+// satisfies the i32 bound above.
+bool i32_rows_ok(const std::int16_t* weights, i64 row_stride, i64 rows,
+                 i64 n);
+
+// One depthwise plane: `in` is one in_h x in_w map, `w` its k*k filter
+// (ky, kx order), `out` the out_h x out_w result. Requires the i32 bound
+// on `w`.
+void dwconv_s16(const std::int16_t* in, const DwGeometry& g,
+                const std::int16_t* w, Fixed16::acc_t bias, bool relu,
+                std::int16_t* out);
+
+// dwconv_s16 at int64 accumulation: exact for any filter. One portable
+// implementation (the scalar reference) serves every backend.
+void dwconv_s16_wide(const std::int16_t* in, const DwGeometry& g,
+                     const std::int16_t* w, Fixed16::acc_t bias, bool relu,
+                     std::int16_t* out);
+
+// Pointwise (1x1) conv rows over channel-pair-interleaved columns: pair
+// row p (at xpairs + p*pair_stride) holds (x[2p][c], x[2p+1][c]) for
+// each column c, so one pmaddwd multiplies a column's channel pair by a
+// broadcast weight pair. Filter row l (length 2*kpairs, at
+// weights + l*row_stride, zero past the true channel count) yields
+//   out[l*out_stride + c] = finalize(sum_i w_l[i] * x[i][c] + bias[l])
+// for c in [0, cols). Each pair row must be readable (and should be
+// zero) up to round_up(cols, 8) columns: the vector tails compute whole
+// 8-column tiles and store only the columns that exist. Requires the
+// i32 bound on every row.
+void pwconv_s16(const std::int16_t* xpairs, i64 pair_stride, i64 cols,
+                i64 kpairs, const std::int16_t* weights, i64 row_stride,
+                i64 rows, const Fixed16::acc_t* bias, bool relu,
+                std::int16_t* out, i64 out_stride);
 
 // Elementwise saturating int16 add: out[i] = sat(a[i] + b[i]).
 void add_sat_s16(const std::int16_t* a, const std::int16_t* b,

@@ -252,6 +252,51 @@ TEST(BatchExec, WarmBatchesAllocateOnlyTheResults) {
   EXPECT_EQ(cost_a, cost_b);
 }
 
+TEST(BatchExec, WarmSeparableBatchesAllocateOnlyTheResults) {
+  // The depthwise and direct pointwise kernels keep the same contract:
+  // their channel-pair rows and column windows live in the session's
+  // scratch arena.
+  Network net("separable");
+  LayerId t = net.add_input({8, 12, 12});
+  t = net.add_conv(t, "dw1",
+                   {.dout = 8, .k = 3, .stride = 1, .pad = 1, .groups = 8});
+  t = net.add_conv(t, "pw1", {.dout = 16, .k = 1});
+  t = net.add_conv(t, "dw2",
+                   {.dout = 16, .k = 3, .stride = 2, .pad = 1, .groups = 16});
+  t = net.add_conv(t, "pw2", {.dout = 12, .k = 1});
+  const auto params = init_net_params<Fixed16>(net, 17);
+  auto compiled =
+      compile_network(net, Policy::kAdaptive2, AcceleratorConfig{});
+  ASSERT_TRUE(compiled.is_ok());
+
+  func::FuncExecutor exec(net, compiled.value(), AcceleratorConfig{});
+  exec.load_params(params);
+  for (const Layer& l : net.layers()) {
+    if (!l.is_conv()) continue;
+    EXPECT_EQ(*exec.kernel(l.id), l.conv().groups > 1
+                                      ? func::ConvKernel::kDepthwiseI32
+                                      : func::ConvKernel::kPointwiseDirect)
+        << l.name;
+  }
+  std::vector<Tensor3<Fixed16>> inputs;
+  for (u64 s = 0; s < 3; ++s)
+    inputs.push_back(random_input<Fixed16>(net.layer(0).out_dims, 90 + s));
+  std::vector<const Tensor3<Fixed16>*> ptrs;
+  for (const auto& in : inputs) ptrs.push_back(&in);
+
+  exec.infer_batch(ptrs);
+  exec.infer_batch(ptrs);
+  const i64 growths_warm = exec.scratch_growths();
+  const long long before_a = g_news.load();
+  exec.infer_batch(ptrs);
+  const long long cost_a = g_news.load() - before_a;
+  const long long before_b = g_news.load();
+  exec.infer_batch(ptrs);
+  const long long cost_b = g_news.load() - before_b;
+  EXPECT_EQ(exec.scratch_growths(), growths_warm);
+  EXPECT_EQ(cost_a, cost_b);
+}
+
 TEST(EngineBatches, RunBatchesMatchesRunManyAndIsRaggedSafe) {
   const Network net = batch_exec_net();
   const auto params = init_net_params<Fixed16>(net, 13);

@@ -76,6 +76,14 @@ def serve_knee_key(r):
             r["servers"])
 
 
+# Per-class conv points (MobileNetV1 depthwise / pointwise K<=128 /
+# pointwise K>=256 / conv1 through the functional kernels at B=1 and 8).
+# Files from before these points have no "conv_classes" section, so every
+# such key shows up as a new entry.
+def conv_class_key(r):
+    return ("conv_class", r["net"], r["class"], r["backend"], r.get("b", 1))
+
+
 def index(doc):
     points = {}
     for k in doc.get("kernels", []):
@@ -96,6 +104,10 @@ def index(doc):
     for r in doc.get("serve_load_knee", []):
         if "knee_qps" in r:
             points[serve_knee_key(r)] = ("knee_qps", r["knee_qps"])
+    for r in doc.get("conv_classes", []):
+        # Median class time as a rate, so "higher is better" holds.
+        if r.get("ms_median"):
+            points[conv_class_key(r)] = ("1/ms", 1.0 / r["ms_median"])
     for r in doc.get("multichip", []):
         if "sim_images_per_s" in r:
             points[multichip_key(r)] = ("sim_images_per_s",
@@ -113,6 +125,8 @@ def fmt_key(key):
         if len(key) > 7 and key[7] != 1:
             s += f" chips={key[7]}/{key[8]}"
         return s
+    if key[0] == "conv_class":
+        return f"conv {key[1]} {key[2]} {key[3]} b={key[4]}"
     if key[0] == "multichip":
         return f"mchip {key[1]:<9} chips={key[2]} {key[3]}"
     if key[0] == "serve_load":

@@ -145,7 +145,7 @@ diff /tmp/cbrain_batched_j1.txt /tmp/cbrain_batched_jn.txt
 
 echo "=== modern layers: dilated/depthwise/residual under sanitizers ==="
 # The modern-layer paths are the newest arithmetic (dilated im2row
-# gather, the per-plane depthwise loop that bypasses GEMM, the eltwise
+# gather, the depthwise plane kernel that bypasses GEMM, the eltwise
 # adder-tree tile): run their three-tier identity suite under ASan+UBSan
 # so the gather indexing and the widening adds are vetted, not just
 # compared. The TSan leg serves ResNet-18 — a residual multi-consumer
@@ -154,6 +154,17 @@ echo "=== modern layers: dilated/depthwise/residual under sanitizers ==="
 ./build-ci-asan/tests/test_modern_layers
 ./build-ci-tsan/tools/cbrain_cli serve-bench resnet18 --requests=2 \
   --jobs=2 --fidelity=functional > /dev/null
+
+echo "=== conv kernels: depthwise/pointwise/GEMM paths per backend + ASan ==="
+# The functional tier's shape-specialized conv kernels (DESIGN.md §12)
+# against conv2d_ref on full-range data, with the i32-bound fallbacks
+# pinned. The suite sweeps every backend itself; starting it under each
+# CBRAIN_SIMD value also covers first-use dispatch on that backend, and
+# the ASan+UBSan run vets the row-window and pair-row indexing.
+for simd in scalar sse2 avx2; do
+  CBRAIN_SIMD="$simd" ./build-ci-release/tests/test_conv_kernels
+done
+./build-ci-asan/tests/test_conv_kernels
 
 echo "=== multi-chip: package identity + sanitizers + trace determinism ==="
 # The multi-chip executor's contract is bit-identity with the single-chip
