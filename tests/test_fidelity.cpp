@@ -256,7 +256,7 @@ TEST(LayerFidelity, SchemeMixAllPolicies) {
 // --- engine threading: run_many at jobs 1/4/16, both backends -----------
 
 class RunManyFidelity
-    : public ::testing::TestWithParam<std::tuple<const char*, i64>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, i64>> {};
 
 TEST_P(RunManyFidelity, FunctionalServesOracleBytes) {
   const auto [backend, jobs] = GetParam();
@@ -287,10 +287,10 @@ TEST_P(RunManyFidelity, FunctionalServesOracleBytes) {
 
 INSTANTIATE_TEST_SUITE_P(
     BackendsAndJobs, RunManyFidelity,
-    ::testing::Combine(::testing::Values("scalar", "auto"),
+    ::testing::Combine(::testing::Values<std::string>("scalar", "auto"),
                        ::testing::Values<i64>(1, 4, 16)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_jobs" +
+      return std::get<0>(info.param) + "_jobs" +
              std::to_string(std::get<1>(info.param));
     });
 

@@ -73,6 +73,10 @@ struct BadSpec {
   const char* expect_in_error;
 };
 
+// gtest would otherwise print the raw pointer bytes, which makes the
+// discovered test names differ from one process to the next.
+void PrintTo(const BadSpec& spec, std::ostream* os) { *os << spec.name; }
+
 const BadSpec kBadSpecs[] = {
     {"empty", "", "empty network spec"},
     {"no_header", "input data 1 4 4\n", "must start with"},
